@@ -45,7 +45,9 @@ fn route(plane: &RoutingPlane, netlist: &Netlist, threads: usize) -> RunStats {
     let mut router = Router::new(config);
     let mut rec = BufferRecorder::with_flags(true, true);
     let start = Instant::now();
-    let report = router.route_all_with(&mut plane, netlist, &mut rec);
+    let report = router
+        .route_all_with(&mut plane, netlist, &mut rec)
+        .unwrap_or_else(|e| panic!("{e}"));
     let wall_s = start.elapsed().as_secs_f64();
 
     let (mut waves, mut max_wave) = (0u64, 0u64);

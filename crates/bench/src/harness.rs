@@ -106,7 +106,9 @@ pub fn run_ours(spec: &BenchmarkSpec) -> RunRow {
     let mut buffer = BufferRecorder::with_flags(false, true);
     let mut noop = NoopRecorder;
     let rec: &mut dyn Recorder = if profiling { &mut buffer } else { &mut noop };
-    let report = router.route_all_with(&mut plane, &netlist, rec);
+    let report = router
+        .route_all_with(&mut plane, &netlist, rec)
+        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
     let row = RunRow {
         circuit: spec.name.clone(),
         router: "ours (cut, overlay-aware)".into(),

@@ -37,7 +37,7 @@
 use crate::checkpoint::{self, Snapshot};
 use crate::config::RouterConfig;
 use crate::driver;
-use crate::router::{Router, RouterError};
+use crate::router::Router;
 use crate::schedule::net_footprint;
 use crate::session::{RoutingSession, SessionError, SessionStatus, StepBudget};
 use sadp_geom::{GridPoint, Layer, SpatialHash, TrackRect};
@@ -108,8 +108,6 @@ impl EcoEdit {
 pub enum EcoError {
     /// The initial batch routing failed to build.
     Session(SessionError),
-    /// The underlying incremental router rejected a call.
-    Router(RouterError),
     /// A net reference did not resolve to an active net.
     UnknownNet(String),
     /// An edit failed validation (out-of-bounds pin, blocked candidate,
@@ -132,7 +130,6 @@ impl fmt::Display for EcoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EcoError::Session(e) => write!(f, "initial routing failed: {e}"),
-            EcoError::Router(e) => write!(f, "router error: {e}"),
             EcoError::UnknownNet(what) => write!(f, "no active net matches `{what}`"),
             EcoError::BadEdit(msg) => write!(f, "invalid edit: {msg}"),
             EcoError::NothingToUndo => write!(f, "nothing to undo"),
@@ -149,12 +146,6 @@ impl Error for EcoError {}
 impl From<SessionError> for EcoError {
     fn from(e: SessionError) -> EcoError {
         EcoError::Session(e)
-    }
-}
-
-impl From<RouterError> for EcoError {
-    fn from(e: RouterError) -> EcoError {
-        EcoError::Router(e)
     }
 }
 
@@ -319,19 +310,11 @@ impl EcoSession {
         }
         let (mut router, mut plane, netlist, rec) = session.into_router_parts();
         // Normalise: unrouted nets must not hold pin reservations (the
-        // batch flow leaves them reserved; the incremental flow releases
-        // them on failure — adopt the incremental semantics).
-        {
-            let Router {
-                config,
-                workspace,
-                failed,
-                ..
-            } = &mut router;
-            let ws = workspace.as_mut().expect("session router is begun");
-            for id in failed.iter() {
-                driver::release_pins(config, &mut ws.guards, &mut plane, netlist.net(*id));
-            }
+        // batch flow leaves them reserved; an ECO re-route releases them
+        // on failure — adopt the ECO semantics).
+        let ws = router.workspace.as_mut().expect("session router is begun");
+        for id in &router.failed {
+            driver::release_pins(&router.config, &mut ws.guards, &mut plane, netlist.net(*id));
         }
         let active = netlist.iter().map(|n| n.id).collect();
         Ok(EcoSession {
@@ -831,78 +814,60 @@ impl EcoSession {
         // Rip up the invalidated nets (freed cells stay reserved where
         // they are pin candidates — commit released the unused ones) and
         // clear their failure records; the re-route below re-records.
-        {
-            let Router {
-                config,
-                ledger,
-                workspace,
-                failed,
-                ..
-            } = &mut self.router;
-            let ws = workspace.as_mut().expect("eco router is begun");
-            for &id in &invalidated {
-                ledger.unroute(&mut self.plane, &mut ws.dir_map, id);
-                failed.retain(|f| *f != id);
+        let router = &mut self.router;
+        let ws = router.workspace.as_mut().expect("eco router is begun");
+        for &id in &invalidated {
+            router.ledger.unroute(&mut self.plane, &mut ws.dir_map, id);
+            router.failed.retain(|f| *f != id);
+        }
+        // The structural change.
+        match edit {
+            EcoEdit::AddNet { name, pins } => {
+                let id = self.netlist.add_multi_pin(name.clone(), pins.clone());
+                self.active.insert(id);
             }
-            // The structural change.
-            match edit {
-                EcoEdit::AddNet { name, pins } => {
-                    let id = self.netlist.add_multi_pin(name.clone(), pins.clone());
-                    self.active.insert(id);
-                }
-                EcoEdit::RemoveNet { net } => {
-                    ledger.unroute(&mut self.plane, &mut ws.dir_map, *net);
-                    driver::release_pins(
-                        config,
-                        &mut ws.guards,
-                        &mut self.plane,
-                        self.netlist.net(*net),
-                    );
-                    self.active.remove(net);
-                    failed.retain(|f| f != net);
-                }
-                EcoEdit::MoveNet { net, pins } => {
-                    ledger.unroute(&mut self.plane, &mut ws.dir_map, *net);
-                    driver::release_pins(
-                        config,
-                        &mut ws.guards,
-                        &mut self.plane,
-                        self.netlist.net(*net),
-                    );
-                    failed.retain(|f| f != net);
+            EcoEdit::RemoveNet { net } | EcoEdit::MoveNet { net, .. } => {
+                router
+                    .ledger
+                    .unroute(&mut self.plane, &mut ws.dir_map, *net);
+                let old = self.netlist.net(*net);
+                driver::release_pins(&router.config, &mut ws.guards, &mut self.plane, old);
+                router.failed.retain(|f| f != net);
+                if let EcoEdit::MoveNet { pins, .. } = edit {
                     let mut pins = pins.clone();
                     let extra = pins.split_off(2);
                     let n = self.netlist.net_mut(*net);
                     n.target = pins.pop().expect("validated: two pins");
                     n.source = pins.pop().expect("validated: two pins");
                     n.extra = extra;
+                } else {
+                    self.active.remove(net);
                 }
-                EcoEdit::AddObstacle { layer, rect } => {
-                    self.obstacles.push((*layer, *rect));
-                    self.plane.add_blockage(*layer, *rect);
-                }
-                EcoEdit::RemoveObstacle { layer, rect } => {
-                    let pos = self
-                        .obstacles
-                        .iter()
-                        .position(|o| o == &(*layer, *rect))
-                        .expect("validated: obstacle present");
-                    self.obstacles.remove(pos);
-                    self.plane.clear_blockage(*layer, *rect);
-                    // Cells also covered by the base layout or another
-                    // session obstacle stay blocked.
-                    for (x, y) in rect.cells() {
-                        let p = GridPoint::new(*layer, x, y);
-                        if self.base_plane.in_bounds(p)
-                            && self.base_plane.cell(p) == CellState::Blocked
-                        {
-                            self.plane.add_blockage(*layer, TrackRect::cell(x, y));
-                        }
+            }
+            EcoEdit::AddObstacle { layer, rect } => {
+                self.obstacles.push((*layer, *rect));
+                self.plane.add_blockage(*layer, *rect);
+            }
+            EcoEdit::RemoveObstacle { layer, rect } => {
+                let pos = self
+                    .obstacles
+                    .iter()
+                    .position(|o| o == &(*layer, *rect))
+                    .expect("validated: obstacle present");
+                self.obstacles.remove(pos);
+                self.plane.clear_blockage(*layer, *rect);
+                // Cells also covered by the base layout or another
+                // session obstacle stay blocked.
+                for (x, y) in rect.cells() {
+                    let p = GridPoint::new(*layer, x, y);
+                    if self.base_plane.in_bounds(p) && self.base_plane.cell(p) == CellState::Blocked
+                    {
+                        self.plane.add_blockage(*layer, TrackRect::cell(x, y));
                     }
-                    for &(l, r) in &self.obstacles {
-                        if l == *layer && r.intersects(rect) {
-                            self.plane.add_blockage(l, r);
-                        }
+                }
+                for &(l, r) in &self.obstacles {
+                    if l == *layer && r.intersects(rect) {
+                        self.plane.add_blockage(l, r);
                     }
                 }
             }
@@ -925,32 +890,15 @@ impl EcoSession {
             }
             _ => {}
         }
-        {
-            let Router {
-                config, workspace, ..
-            } = &mut self.router;
-            let ws = workspace.as_mut().expect("eco router is begun");
-            for &id in &targets {
-                driver::reserve_pins(
-                    config,
-                    &mut ws.guards,
-                    &mut self.plane,
-                    self.netlist.net(id),
-                );
-            }
-        }
-        let order = self.router.net_order(&self.netlist);
-        let mut rerouted: u64 = 0;
-        for id in order {
-            if !targets.contains(&id) {
-                continue;
-            }
+        for &id in &targets {
             let net = self.netlist.net(id);
-            let ok = self
-                .router
-                .route_incremental_with(&mut self.plane, net, &mut self.rec)
-                .expect("eco router is begun");
-            if ok {
+            driver::reserve_pins(&router.config, &mut ws.guards, &mut self.plane, net);
+        }
+        let mut rerouted: u64 = 0;
+        for id in router.net_order(&self.netlist) {
+            if targets.contains(&id)
+                && router.route_net(&mut self.plane, self.netlist.net(id), &mut self.rec)
+            {
                 rerouted += 1;
             }
         }
@@ -1009,49 +957,29 @@ impl EcoSession {
         let snap = Snapshot::parse(&v.ckpt).expect("eco versions hold self-produced snapshots");
         let mut router = Router::new(self.router.config().clone());
         router
-            .try_begin_sized(&plane, self.netlist.len())
+            .begin(&plane, self.netlist.len())
             .expect("the live plane already fit this router");
-        {
-            let Router {
-                config,
-                ledger,
-                workspace,
-                failed,
-                run_budget,
-                ..
-            } = &mut router;
-            let ws = workspace.as_mut().expect("just begun");
-            crate::router::replay_snapshot(
-                &snap,
-                config,
-                ledger,
-                ws,
-                &mut plane,
-                &self.netlist,
-                failed,
-                run_budget,
-                // A final routed set replays without the commit-time
-                // steering heuristics (risk abort, type-B filter): the
-                // captured colors are forced below, so mid-replay
-                // coloring state is transient, and the journal order no
-                // longer matches the live commit order.
-                false,
-            )
+        // A final routed set replays without the commit-time steering
+        // heuristics (risk abort, type-B filter): the captured colors are
+        // forced below, so mid-replay coloring state is transient, and
+        // the journal order no longer matches the live commit order.
+        router
+            .replay(&snap, &mut plane, &self.netlist, false)
             .expect("a consistent final routed set always replays");
-            // Colors are commit-order dependent; force the captured ones
-            // over whatever the replay chose.
-            for &(layer, net, color) in &v.colors {
-                ledger.graphs_mut()[layer as usize].set_color(net, color);
-            }
-            // Soft pin-guard halos for the routed nets (unrouted nets
-            // hold none, per the steady-state invariant). Plane
-            // occupancy is complete already: replayed commits own their
-            // cells and unused candidates stay free.
-            let unrouted: HashSet<NetId> = failed.iter().copied().collect();
-            for &id in &self.active {
-                if !unrouted.contains(&id) {
-                    driver::claim_pin_guards(config, &mut ws.guards, self.netlist.net(id));
-                }
+        // Colors are commit-order dependent; force the captured ones over
+        // whatever the replay chose.
+        for &(layer, net, color) in &v.colors {
+            router.ledger.graphs_mut()[layer as usize].set_color(net, color);
+        }
+        // Soft pin-guard halos for the routed nets (unrouted nets hold
+        // none, per the steady-state invariant). Plane occupancy is
+        // complete already: replayed commits own their cells and unused
+        // candidates stay free.
+        let ws = router.workspace.as_mut().expect("just begun");
+        let unrouted: HashSet<NetId> = router.failed.iter().copied().collect();
+        for &id in &self.active {
+            if !unrouted.contains(&id) {
+                driver::claim_pin_guards(&router.config, &mut ws.guards, self.netlist.net(id));
             }
         }
         self.plane = plane;

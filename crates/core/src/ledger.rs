@@ -35,8 +35,7 @@ use std::collections::BTreeMap;
 /// circuits the soft scenarios fuse nearly every net into one connected
 /// component, so an uncapped `flip_component` per routed net costs
 /// `O(n)` each — the dominant quadratic term of the old Fig. 20 series.
-/// The final [`Router::finalize`](crate::Router::finalize) pass still
-/// flips whole components once.
+/// The finalize stage of a run still flips whole components once.
 pub(crate) const FLIP_NEIGHBORHOOD: usize = 256;
 
 /// A successfully routed net: its path(s) and per-layer wire fragments.
@@ -340,7 +339,10 @@ impl CommitLedger {
     }
 
     /// Aborts the proposal: rolls every layer graph back to the
-    /// checkpoint, removing the staged vertex, edges and trial colors.
+    /// checkpoint, removing the staged vertex and its edges. Neighbour
+    /// colors that [`CommitLedger::flip_trial`] changed are *not*
+    /// restored: they stay as the trial left them, and the journal does
+    /// not record them.
     pub fn abort(&mut self, proposal: Proposal) {
         debug_assert_eq!(proposal.marks.len(), self.graphs.len());
         for (g, &mark) in self.graphs.iter_mut().zip(&proposal.marks) {

@@ -8,9 +8,9 @@
 //! architecture".
 
 use crate::budget::RunBudget;
-use crate::checkpoint::{self, Snapshot, SnapshotError};
+use crate::checkpoint::{Snapshot, SnapshotError};
 use crate::config::RouterConfig;
-use crate::driver;
+use crate::driver::{self, ScheduleMachine, StepArgs, StepEvent};
 use crate::grids::{DirGrid, GuardGrid, PenaltyGrid, NO_GUARD};
 use crate::ledger::{CommitLedger, FLIP_NEIGHBORHOOD};
 use crate::report::RoutingReport;
@@ -20,7 +20,6 @@ use sadp_graph::{flip, OverlayGraph};
 use sadp_grid::{Net, NetId, Netlist, RoutingPlane};
 use sadp_obs::{FailReason, NoopRecorder, Recorder, RouterEvent, SpanClock, Stage};
 use sadp_scenario::Color;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -30,15 +29,13 @@ pub use crate::ledger::RoutedNet;
 
 use crate::astar::SearchScratch;
 
-/// Errors of the incremental routing API.
+/// Errors of the routing entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterError {
-    /// [`Router::route_incremental`] was called before [`Router::begin`]
-    /// (or a prior [`Router::route_all`]) sized the router for a plane.
-    NotBegun,
     /// The plane has too many cells for the packed 32-bit search indices
-    /// (`layers * width * height >= u32::MAX`). Returned by the `try_`
-    /// entry points; the panicking ones abort with the same message.
+    /// (`layers * width * height >= u32::MAX`). Returned by
+    /// [`Router::route_all_with`] and the session constructors;
+    /// [`Router::route_all`] panics with the same message.
     PlaneTooLarge {
         /// The offending cell count (`u128`: the product can exceed
         /// `usize` arithmetic on the way in).
@@ -49,9 +46,6 @@ pub enum RouterError {
 impl fmt::Display for RouterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RouterError::NotBegun => {
-                write!(f, "call Router::begin before route_incremental")
-            }
             RouterError::PlaneTooLarge { cells } => {
                 write!(
                     f,
@@ -67,8 +61,9 @@ impl fmt::Display for RouterError {
 
 impl Error for RouterError {}
 
-/// Plane-sized dense working state, allocated once per [`Router::begin`]
-/// and reused for every net (clearing is `O(1)` via generation stamps).
+/// Plane-sized dense working state, allocated when the first run begins
+/// and reused for every net and every later run on a plane that fits
+/// (clearing is `O(1)` via generation stamps).
 #[derive(Debug)]
 pub(crate) struct Workspace {
     /// Per-cell wire direction of committed nets (the `T2b` hint map).
@@ -115,12 +110,12 @@ impl Workspace {
 pub struct Router {
     pub(crate) config: RouterConfig,
     pub(crate) ledger: CommitLedger,
+    /// `None` until a run begins; every crate-internal driver begins the
+    /// router before it routes a net.
     pub(crate) workspace: Option<Workspace>,
     pub(crate) failed: Vec<NetId>,
-    color_fallbacks: Cell<u64>,
-    /// The whole-run budget, re-armed at the start of every `route_all`
-    /// from the config (unlimited between runs, so the incremental API
-    /// is never throttled by a stale deadline).
+    /// The whole-run budget, armed from the config when a batch run
+    /// begins (unlimited before that).
     pub(crate) run_budget: RunBudget,
 }
 
@@ -133,7 +128,6 @@ impl Router {
             ledger: CommitLedger::empty(),
             workspace: None,
             failed: Vec::new(),
-            color_fallbacks: Cell::new(0),
             run_budget: RunBudget::unlimited(),
         }
     }
@@ -183,8 +177,8 @@ impl Router {
     ///
     /// A routed net missing from the layer's constraint graph is reported
     /// with [`Color::Core`]; that should never happen for a consistent
-    /// router state, so the fallback is counted
-    /// ([`RoutingReport::color_fallbacks`]) and asserts in dev builds.
+    /// router state, so it asserts in dev builds. The report's sweep
+    /// counts such nets ([`RoutingReport::color_fallbacks`]).
     #[must_use]
     pub fn patterns_on_layer(&self, layer: Layer) -> Vec<(u32, Color, Vec<TrackRect>)> {
         let mut out = Vec::new();
@@ -197,18 +191,14 @@ impl Router {
                 .map(|(_, rect)| *rect)
                 .collect();
             if !rects.is_empty() {
-                let color = match self.color_of(r.id, layer) {
-                    Some(c) => c,
-                    None => {
-                        self.color_fallbacks.set(self.color_fallbacks.get() + 1);
-                        debug_assert!(
-                            false,
-                            "{} has fragments on {layer} but no color there; defaulting to Core",
-                            r.id
-                        );
-                        Color::Core
-                    }
-                };
+                let color = self.color_of(r.id, layer).unwrap_or_else(|| {
+                    debug_assert!(
+                        false,
+                        "{} has fragments on {layer} but no color there; defaulting to Core",
+                        r.id
+                    );
+                    Color::Core
+                });
                 out.push((r.id.0, color, rects));
             }
         }
@@ -220,8 +210,14 @@ impl Router {
     /// [`RouterConfig::threads`] workers when the plane is wide enough —
     /// and returns the aggregate report. The result is identical for any
     /// thread count.
+    ///
+    /// # Panics
+    ///
+    /// On a plane too large for the packed search indices;
+    /// [`Router::route_all_with`] returns that as a [`RouterError`].
     pub fn route_all(&mut self, plane: &mut RoutingPlane, netlist: &Netlist) -> RoutingReport {
         self.route_all_with(plane, netlist, &mut NoopRecorder)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Router::route_all`] with an observability [`Recorder`]: timing
@@ -230,177 +226,36 @@ impl Router {
     /// Event order (and every event payload) is identical for any
     /// [`RouterConfig::threads`] value: band workers buffer locally and
     /// the buffers are replayed in ascending band order.
+    ///
+    /// This is the blocking form of
+    /// [`RoutingSession`](crate::RoutingSession): both run the same
+    /// schedule steps and the same finish, so their reports, colors and
+    /// traces are byte-identical. Checkpointing is a session feature
+    /// ([`RoutingSession::snapshot`](crate::RoutingSession::snapshot)).
+    ///
+    /// # Errors
+    ///
+    /// [`RouterError::PlaneTooLarge`] if the plane's cells do not fit the
+    /// packed 32-bit search indices. The check runs before any routing
+    /// state is allocated.
     pub fn route_all_with(
         &mut self,
         plane: &mut RoutingPlane,
         netlist: &Netlist,
         rec: &mut dyn Recorder,
-    ) -> RoutingReport {
-        self.route_all_recoverable(plane, netlist, rec, None, None)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Router::route_all_with`] with checkpoint/resume:
-    ///
-    /// * `resume` — a parsed [`Snapshot`] to start from. Its journaled
-    ///   routes are re-committed through the identical stage pipeline
-    ///   (no searching) and only the remaining nets are routed. The
-    ///   final result is byte-identical to an uninterrupted run because
-    ///   snapshots are only taken at schedule-aligned boundaries.
-    /// * `save` — a sink called with fresh snapshot text at those
-    ///   boundaries: after every band fold, and (throttled) between
-    ///   serial nets. `None` disables checkpointing at zero cost — the
-    ///   input fingerprint is not even computed then.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Router`] for an oversized plane,
-    /// [`SnapshotError::FingerprintMismatch`] when `resume` was taken
-    /// from a different plane/netlist, and
-    /// [`SnapshotError::ReplayDiverged`] when a journaled route no
-    /// longer commits cleanly.
-    pub fn route_all_recoverable(
-        &mut self,
-        plane: &mut RoutingPlane,
-        netlist: &Netlist,
-        rec: &mut dyn Recorder,
-        resume: Option<&Snapshot>,
-        mut save: Option<&mut dyn FnMut(&str)>,
-    ) -> Result<RoutingReport, SnapshotError> {
-        let start = Instant::now();
-        let (order, fp) = self.prepare_run(plane, netlist, resume, save.is_some())?;
-        {
-            let Router {
-                config,
-                ledger,
-                workspace,
-                failed,
-                run_budget,
-                ..
-            } = self;
-            let ws = workspace.as_mut().expect("begin_sized sets the workspace");
-            // The hook serializes the whole journal each time, so the
-            // per-net ticks on the serial paths are throttled; band
-            // folds (force = true) always persist.
-            let mut hook_fn;
-            let hook: Option<driver::CheckpointHook<'_>> = match save.as_mut() {
-                Some(sink) => {
-                    let fp = fp.expect("fingerprint is computed when saving");
-                    let mut tick = 0u64;
-                    hook_fn = move |ledger: &CommitLedger, failed: &[NetId], force: bool| {
-                        tick += 1;
-                        if force || tick.is_multiple_of(64) {
-                            sink(&checkpoint::serialize(ledger, failed, fp));
-                        }
-                    };
-                    Some(&mut hook_fn)
-                }
-                None => None,
-            };
-            driver::route_schedule(
-                config, ledger, ws, plane, netlist, &order, failed, run_budget, rec, hook,
-            );
-        }
-        self.finalize_with(plane, netlist, rec);
-        let mut report = self.build_report(netlist, start);
-        if let Some(profile) = rec.profile() {
-            report.profile = profile;
-        }
-        Ok(report)
-    }
-
-    /// [`Router::route_all_with`], but an oversized plane is a
-    /// [`RouterError`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouterError::PlaneTooLarge`] if the plane's cells do not
-    /// fit the packed 32-bit search indices. The check runs before any
-    /// routing state is allocated.
-    pub fn try_route_all(
-        &mut self,
-        plane: &mut RoutingPlane,
-        netlist: &Netlist,
-        rec: &mut dyn Recorder,
     ) -> Result<RoutingReport, RouterError> {
-        SearchScratch::check_plane(plane)?;
-        Ok(self.route_all_with(plane, netlist, rec))
+        let start = Instant::now();
+        let order = self.begin_run(plane, netlist)?;
+        let mut machine = ScheduleMachine::new(&self.config, plane, netlist, order);
+        while self.step(&mut machine, plane, netlist, rec) != StepEvent::Complete {}
+        Ok(self.finish(plane, netlist, rec, start))
     }
 
-    /// The shared run preamble of [`Router::route_all_recoverable`] and
-    /// [`crate::session::RoutingSession`]: sizes the router for the
-    /// plane, arms the run budget, verifies the resume fingerprint,
-    /// reserves every pin, replays the snapshot journal, and returns the
-    /// canonical net order with the processed prefix removed (plus the
-    /// input fingerprint when checkpointing asked for it).
-    pub(crate) fn prepare_run(
-        &mut self,
-        plane: &mut RoutingPlane,
-        netlist: &Netlist,
-        resume: Option<&Snapshot>,
-        want_fingerprint: bool,
-    ) -> Result<(Vec<NetId>, Option<u64>), SnapshotError> {
-        self.try_begin_sized(plane, netlist.len())?;
-        self.run_budget = RunBudget::from_config(&self.config);
-        // The input fingerprint costs a serialization pass, so it is
-        // computed only when checkpointing or resuming asks for it.
-        let fp =
-            (resume.is_some() || want_fingerprint).then(|| checkpoint::fingerprint(plane, netlist));
-        if let (Some(snap), Some(fp)) = (resume, fp) {
-            if snap.fingerprint() != fp {
-                return Err(SnapshotError::FingerprintMismatch);
-            }
-        }
-        let mut order = self.net_order(netlist);
-        let Router {
-            config,
-            ledger,
-            workspace,
-            failed,
-            run_budget,
-            ..
-        } = self;
-        let ws = workspace.as_mut().expect("begin_sized sets the workspace");
-        // Reserve every pin candidate cell up front so earlier nets
-        // cannot route over the pins of later ones (the owner may
-        // still enter its own reserved cells).
-        for net in netlist {
-            driver::reserve_pins(config, &mut ws.guards, plane, net);
-        }
-        if let Some(snap) = resume {
-            replay_snapshot(
-                snap, config, ledger, ws, plane, netlist, failed, run_budget, true,
-            )?;
-            let done: std::collections::HashSet<NetId> = snap.processed().into_iter().collect();
-            order.retain(|id| !done.contains(id));
-        }
-        Ok((order, fp))
-    }
-
-    /// Resets the router state for the plane. Called automatically by
-    /// [`Router::route_all`]; use directly for the incremental API
-    /// ([`Router::route_incremental`]).
-    pub fn begin(&mut self, plane: &RoutingPlane) {
-        self.begin_sized(plane, 0);
-    }
-
-    /// Like [`Router::begin`], with a hint of how many nets will be routed
-    /// so the fragment spatial index can pick a density-matched tile size
-    /// (`0` = unknown, uses the coarsest tile).
-    pub fn begin_sized(&mut self, plane: &RoutingPlane, expected_nets: usize) {
-        self.try_begin_sized(plane, expected_nets)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Router::begin_sized`], but an oversized plane is a
-    /// [`RouterError`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouterError::PlaneTooLarge`] if the plane's cells do not
-    /// fit the packed 32-bit search indices; the router state is left
-    /// untouched in that case.
-    pub fn try_begin_sized(
+    /// Sizes the router for `plane`: a fresh ledger whose fragment index
+    /// is tuned for `expected_nets`, the workspace cleared (or reallocated
+    /// when it does not fit) and no failures. On an oversized plane the
+    /// router state is left untouched.
+    pub(crate) fn begin(
         &mut self,
         plane: &RoutingPlane,
         expected_nets: usize,
@@ -412,100 +267,172 @@ impl Router {
             _ => self.workspace = Some(Workspace::try_new(plane)?),
         }
         self.failed.clear();
-        self.color_fallbacks.set(0);
         Ok(())
     }
 
-    /// Routes one net incrementally against the already-routed layout,
-    /// reserving its pins first. Returns whether the net was committed
-    /// (failed nets are recorded in [`Router::failed`]).
-    ///
-    /// Unlike [`Router::route_all`] the caller controls the net order and
-    /// no final flipping/cleanup runs — call [`Router::finalize`] when the
-    /// batch is complete.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouterError::NotBegun`] if [`Router::begin`] (or a prior
-    /// `route_all`) has not sized the router for the plane.
-    pub fn route_incremental(
+    /// The batch-run preamble of [`Router::route_all_with`] and
+    /// [`RoutingSession`](crate::RoutingSession): begins the router for the
+    /// netlist, arms the run budget, reserves every pin and returns the
+    /// canonical net order.
+    pub(crate) fn begin_run(
         &mut self,
         plane: &mut RoutingPlane,
-        net: &Net,
-    ) -> Result<bool, RouterError> {
-        self.route_incremental_with(plane, net, &mut NoopRecorder)
+        netlist: &Netlist,
+    ) -> Result<Vec<NetId>, RouterError> {
+        self.begin(plane, netlist.len())?;
+        self.run_budget = RunBudget::from_config(&self.config);
+        let ws = self.workspace.as_mut().expect("begin sets the workspace");
+        // Reserve every pin candidate cell up front so earlier nets
+        // cannot route over the pins of later ones (the owner may
+        // still enter its own reserved cells).
+        for net in netlist {
+            driver::reserve_pins(&self.config, &mut ws.guards, plane, net);
+        }
+        Ok(self.net_order(netlist))
     }
 
-    /// [`Router::route_incremental`] with an observability [`Recorder`]:
-    /// the net emits the same `net_routed` / `net_failed` / rip-up trace
-    /// events as the batch path.
-    ///
-    /// On failure the pin reservations taken for this net are released
-    /// again (cells and guard halo), so an unroutable net does not block
-    /// its candidate cells for later nets; a retry that succeeds clears
-    /// the net's earlier entry in [`Router::failed`], and repeated
-    /// failures record it only once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouterError::NotBegun`] if [`Router::begin`] (or a prior
-    /// `route_all`) has not sized the router for the plane.
-    pub fn route_incremental_with(
+    /// Runs the next increment of `machine`'s schedule against this
+    /// router's state.
+    pub(crate) fn step(
         &mut self,
+        machine: &mut ScheduleMachine,
         plane: &mut RoutingPlane,
-        net: &Net,
+        netlist: &Netlist,
         rec: &mut dyn Recorder,
-    ) -> Result<bool, RouterError> {
-        let Router {
-            config,
-            ledger,
-            workspace,
-            failed,
-            run_budget,
-            ..
-        } = self;
-        if ledger.layer_count() == 0 {
-            return Err(RouterError::NotBegun);
-        }
-        let ws = workspace.as_mut().ok_or(RouterError::NotBegun)?;
-        driver::reserve_pins(config, &mut ws.guards, plane, net);
-        let ok = driver::route_one(config, ledger, ws, plane, net, &[], run_budget, rec, true);
-        if ok {
-            // A retry that made it clears the earlier failure record so
-            // report counters see the net exactly once.
-            failed.retain(|&id| id != net.id);
-        } else {
-            driver::release_pins(config, &mut ws.guards, plane, net);
-            if !failed.contains(&net.id) {
-                failed.push(net.id);
-            }
-        }
-        Ok(ok)
+    ) -> StepEvent {
+        machine.step(&mut StepArgs {
+            config: &self.config,
+            ledger: &mut self.ledger,
+            ws: self.workspace.as_mut().expect("the run has begun"),
+            plane,
+            netlist,
+            failed: &mut self.failed,
+            run_budget: &self.run_budget,
+            rec,
+        })
     }
 
-    /// Runs the final color flipping (Fig. 19 line 16) on every component
-    /// touched since the last finalize, the hill-climbing refinement, and
-    /// the conflict cleanup that guarantees a conflict-free result.
-    /// `netlist` is used to re-route nets the cleanup has to move.
-    ///
-    /// The flipping is scoped to *dirty* components — those containing a
-    /// vertex whose edges changed since the previous finalize — so
-    /// repeated incremental batches only re-color what moved instead of
-    /// re-walking the whole layout each time. A no-op before
-    /// [`Router::begin`].
-    pub fn finalize(&mut self, plane: &mut RoutingPlane, netlist: &Netlist) {
-        self.finalize_with(plane, netlist, &mut NoopRecorder);
-    }
-
-    /// [`Router::finalize`] with an observability [`Recorder`]: the
-    /// flipping passes are timed as the `recolor` stage and emit one
-    /// `flip_pass` event per layer that had dirty components.
-    pub fn finalize_with(
+    /// Ends a run whose schedule is complete: the finalize stage, then the
+    /// report with the recorder's stage profile attached.
+    pub(crate) fn finish(
         &mut self,
         plane: &mut RoutingPlane,
         netlist: &Netlist,
         rec: &mut dyn Recorder,
-    ) {
+        start: Instant,
+    ) -> RoutingReport {
+        self.finalize(plane, netlist, rec);
+        let mut report = self.build_report(netlist, start);
+        if let Some(profile) = rec.profile() {
+            report.profile = profile;
+        }
+        report
+    }
+
+    /// Re-commits a snapshot's journal against this freshly begun router:
+    /// every journaled route goes through the identical stage pipeline
+    /// ([`driver::commit_candidate`]) in journal order, which reproduces the
+    /// plane occupancy, direction map, fragment-index scan order and graph
+    /// state of the original prefix — no searching involved. The
+    /// snapshot's counters then overwrite the replayed ones (replay re-counts
+    /// flips but none of the search/rip-up work).
+    ///
+    /// `enforce_steering` is forwarded to [`driver::commit_candidate`]:
+    /// mid-run resume passes `true` (the replayed prefix made exactly these
+    /// decisions), while restoring a *final* routed set passes `false` —
+    /// the journal omits ripped-up interlopers, post-commit flip passes and
+    /// the original commit order, so the commit-time steering heuristics
+    /// (risk abort, geometric type-B filter) can reject a commit that is
+    /// part of a perfectly consistent final state.
+    pub(crate) fn replay(
+        &mut self,
+        snap: &Snapshot,
+        plane: &mut RoutingPlane,
+        netlist: &Netlist,
+        enforce_steering: bool,
+    ) -> Result<(), SnapshotError> {
+        let ws = self.workspace.as_mut().expect("the router has begun");
+        for n in &snap.nets {
+            if n.id.index() >= netlist.len() {
+                return Err(SnapshotError::ReplayDiverged);
+            }
+            let candidate = Snapshot::candidate_of(n)?;
+            let mut ctx = driver::RouteCtx {
+                config: &self.config,
+                ledger: &mut self.ledger,
+                dir_map: &mut ws.dir_map,
+                guards: &ws.guards,
+                penalties: &mut ws.penalties,
+                scratch: &mut ws.scratch,
+                run_budget: &self.run_budget,
+                rec: &mut NoopRecorder,
+            };
+            let committed = driver::commit_candidate(
+                &mut ctx,
+                plane,
+                netlist.net(n.id),
+                candidate,
+                enforce_steering,
+            );
+            if committed.is_err() {
+                return Err(SnapshotError::ReplayDiverged);
+            }
+        }
+        self.ledger.counters = snap.counters();
+        self.failed.extend(snap.failed.iter().copied());
+        Ok(())
+    }
+
+    /// Routes one net against the current layout outside any schedule
+    /// (the ECO re-route step), reserving its pins first.
+    ///
+    /// On failure the pin reservations are released again (cells and
+    /// guard halo), so an unroutable net does not block its candidate
+    /// cells for later nets; a retry that succeeds clears the net's
+    /// earlier entry in [`Router::failed`], and repeated failures record
+    /// it only once.
+    pub(crate) fn route_net(
+        &mut self,
+        plane: &mut RoutingPlane,
+        net: &Net,
+        rec: &mut dyn Recorder,
+    ) -> bool {
+        let ws = self.workspace.as_mut().expect("the router has begun");
+        driver::reserve_pins(&self.config, &mut ws.guards, plane, net);
+        let ok = driver::route_one(
+            &self.config,
+            &mut self.ledger,
+            ws,
+            plane,
+            net,
+            &[],
+            &self.run_budget,
+            rec,
+            true,
+        );
+        if ok {
+            // A retry that made it clears the earlier failure record so
+            // report counters see the net exactly once.
+            self.failed.retain(|&id| id != net.id);
+        } else {
+            driver::release_pins(&self.config, &mut ws.guards, plane, net);
+            if !self.failed.contains(&net.id) {
+                self.failed.push(net.id);
+            }
+        }
+        ok
+    }
+
+    /// Runs the final color flipping (Fig. 19 line 16) on every component
+    /// touched since the run began, the hill-climbing refinement, and the
+    /// conflict cleanup that guarantees a conflict-free result. `netlist`
+    /// is used to re-route nets the cleanup has to move.
+    ///
+    /// The flipping is scoped to *dirty* components — those containing a
+    /// vertex whose edges changed since the ledger was created. The
+    /// flipping passes are timed as the `recolor` stage and emit one
+    /// `flip_pass` event per layer that had dirty components.
+    fn finalize(&mut self, plane: &mut RoutingPlane, netlist: &Netlist, rec: &mut dyn Recorder) {
         if self.config.final_flip {
             let clock = SpanClock::start(rec);
             for (layer, g) in self.ledger.graphs_mut().iter_mut().enumerate() {
@@ -556,7 +483,7 @@ impl Router {
         netlist: &Netlist,
         rec: &mut dyn Recorder,
     ) {
-        if !self.config.cut_repair || self.workspace.is_none() {
+        if !self.config.cut_repair {
             return;
         }
         let sim = CutSimulator::new(*plane.rules());
@@ -583,7 +510,7 @@ impl Router {
             if offenders.is_empty() {
                 return;
             }
-            let ws = self.workspace.as_mut().expect("checked above");
+            let ws = self.workspace.as_mut().expect("the run has begun");
             for id in offenders {
                 if self.ledger.routed().contains_key(&id) {
                     self.ledger.unroute(plane, &mut ws.dir_map, id);
@@ -688,8 +615,8 @@ impl Router {
         }
     }
 
-    /// Builds the aggregate report for the current state (used by the
-    /// incremental API after [`Router::finalize`]).
+    /// Builds the aggregate report for the current state, timing it from
+    /// `since` (an edited layout's report, for instance).
     #[must_use]
     pub fn report(&self, netlist: &Netlist, since: Instant) -> RoutingReport {
         self.build_report(netlist, since)
@@ -739,11 +666,8 @@ impl Router {
             report.cut_conflicts += e.cut_risks;
         }
         // Consistency sweep: every routed net must have a color on every
-        // layer it occupies. This sweep is the authoritative count; the
-        // `color_fallbacks` cell only backs `patterns_on_layer`'s own
-        // dev-build assertion and would double-count the same missing
-        // `(net, layer)` pairs if added here (and would make the report
-        // depend on how many times the caller asked for patterns).
+        // layer it occupies. Counting here, not in `patterns_on_layer`,
+        // keeps the report independent of how often patterns were read.
         let mut fallbacks = 0u64;
         for r in self.ledger.routed().values() {
             let mut layers: Vec<Layer> = r.fragments.iter().map(|&(l, _)| l).collect();
@@ -777,10 +701,7 @@ impl Router {
             run_budget,
             ..
         } = self;
-        let Some(ws) = workspace.as_mut() else {
-            // Never begun: nothing routed, nothing to clean.
-            return;
-        };
+        let ws = workspace.as_mut().expect("the run has begun");
         for _ in 0..8 {
             let mut risky: Vec<u32> = Vec::new();
             for g in ledger.graphs() {
@@ -889,65 +810,6 @@ impl Router {
             }
         }
     }
-}
-
-/// Re-commits a snapshot's journal against a freshly begun router state:
-/// every journaled route goes through the identical stage pipeline
-/// ([`driver::commit_candidate`]) in journal order, which reproduces the
-/// plane occupancy, direction map, fragment-index scan order and graph
-/// state of the original prefix exactly — no searching involved. The
-/// snapshot's counters then overwrite the replayed ones (replay re-counts
-/// flips but none of the search/rip-up work).
-///
-/// `enforce_steering` is forwarded to [`driver::commit_candidate`]:
-/// mid-run resume passes `true` (the replayed prefix made exactly these
-/// decisions), while restoring a *final* routed set passes `false` —
-/// the journal omits ripped-up interlopers, post-commit flip passes and
-/// the original commit order, so the commit-time steering heuristics
-/// (risk abort, geometric type-B filter) can reject a commit that is
-/// part of a perfectly consistent final state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_snapshot(
-    snap: &Snapshot,
-    config: &RouterConfig,
-    ledger: &mut CommitLedger,
-    ws: &mut Workspace,
-    plane: &mut RoutingPlane,
-    netlist: &Netlist,
-    failed: &mut Vec<NetId>,
-    run_budget: &RunBudget,
-    enforce_steering: bool,
-) -> Result<(), SnapshotError> {
-    let mut rec = NoopRecorder;
-    for n in &snap.nets {
-        if n.id.index() >= netlist.len() {
-            return Err(SnapshotError::ReplayDiverged);
-        }
-        let candidate = Snapshot::candidate_of(n)?;
-        let mut ctx = driver::RouteCtx {
-            config,
-            ledger,
-            dir_map: &mut ws.dir_map,
-            guards: &ws.guards,
-            penalties: &mut ws.penalties,
-            scratch: &mut ws.scratch,
-            run_budget,
-            rec: &mut rec,
-        };
-        let committed = driver::commit_candidate(
-            &mut ctx,
-            plane,
-            netlist.net(n.id),
-            candidate,
-            enforce_steering,
-        );
-        if committed.is_err() {
-            return Err(SnapshotError::ReplayDiverged);
-        }
-    }
-    ledger.counters = snap.counters();
-    failed.extend(snap.failed.iter().copied());
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1087,32 +949,6 @@ mod tests {
         assert_eq!(first.wirelength, second.wirelength);
         assert_eq!(first.overlay_units, second.overlay_units);
         assert_eq!(first.nodes_expanded, second.nodes_expanded);
-    }
-
-    #[test]
-    fn incremental_before_begin_is_recoverable() {
-        let mut plane = plane(16, 16);
-        let mut nl = Netlist::new();
-        let id = nl.add_two_pin("a", p0(2, 2), p0(10, 2));
-        let mut router = Router::new(RouterConfig::paper_defaults());
-        // No begin(): a recoverable error, not a panic.
-        assert_eq!(
-            router.route_incremental(&mut plane, nl.net(id)),
-            Err(RouterError::NotBegun)
-        );
-        assert!(RouterError::NotBegun.to_string().contains("begin"));
-        // The same router recovers after begin().
-        router.begin(&plane);
-        assert_eq!(router.route_incremental(&mut plane, nl.net(id)), Ok(true));
-    }
-
-    #[test]
-    fn finalize_before_begin_is_a_noop() {
-        let mut plane = plane(16, 16);
-        let nl = Netlist::new();
-        let mut router = Router::new(RouterConfig::paper_defaults());
-        router.finalize(&mut plane, &nl);
-        assert!(router.routed().is_empty());
     }
 
     #[test]

@@ -7,10 +7,11 @@
 
 use sadp_core::eco::{parse_edit_script, EcoEdit, EcoSession, OpOutcome};
 use sadp_core::RouterConfig;
-use sadp_geom::{GridPoint, Layer, Rng, TrackRect};
+use sadp_geom::{DesignRules, GridPoint, Layer, Rng, TrackRect};
 use sadp_grid::io::read_layout;
-use sadp_grid::{BenchmarkSpec, Pin};
+use sadp_grid::{BenchmarkSpec, NetId, Netlist, Pin, RoutingPlane};
 use std::path::PathBuf;
+use std::time::Instant;
 
 fn corpus(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -197,4 +198,136 @@ fn anchor_script_round_trips() {
         eco.redo().expect("redo available");
     }
     assert_eq!(eco.state_digest(), settled);
+}
+
+// ---- single-net re-routes ---------------------------------------------
+
+fn p0(x: i32, y: i32) -> GridPoint {
+    GridPoint::new(Layer(0), x, y)
+}
+
+fn two_pin(name: &str, s: (i32, i32), t: (i32, i32)) -> EcoEdit {
+    EcoEdit::AddNet {
+        name: name.into(),
+        pins: vec![Pin::fixed(p0(s.0, s.1)), Pin::fixed(p0(t.0, t.1))],
+    }
+}
+
+/// An editing session over `netlist` on an empty `w`×`h` three-layer plane.
+fn open(w: i32, h: i32, netlist: Netlist, trace: bool) -> EcoSession {
+    let plane = RoutingPlane::new(3, w, h, DesignRules::node_10nm()).expect("valid plane");
+    EcoSession::create(RouterConfig::paper_defaults(), plane, netlist, trace)
+        .expect("session builds")
+}
+
+/// The session obstacles walling every layer at x = 8, so nothing crosses.
+fn wall(eco: &EcoSession) -> Vec<EcoEdit> {
+    (0..eco.plane().layers())
+        .map(|l| EcoEdit::AddObstacle {
+            layer: Layer(l),
+            rect: TrackRect::new(8, 0, 8, eco.plane().height() - 1),
+        })
+        .collect()
+}
+
+/// Whether `net` holds any plane cell.
+fn holds_cells(eco: &EcoSession, net: NetId) -> bool {
+    (0..eco.plane().layers()).any(|l| {
+        eco.plane()
+            .occupied_cells(Layer(l))
+            .any(|(_, _, owner)| owner == net)
+    })
+}
+
+#[test]
+fn failed_net_releases_its_pin_reservations() {
+    // Net `a` cannot cross the wall and fails; its reserved pin cells
+    // must be released, or they would block later nets on behalf of a
+    // net that isn't there (between edits, occupancy is exactly routes
+    // plus blockages).
+    let mut eco = open(32, 32, Netlist::new(), false);
+    for edit in wall(&eco) {
+        eco.apply(edit).expect("the wall covers no pin");
+    }
+    let out = eco.apply(two_pin("a", (2, 2), (12, 2))).expect("valid");
+    let a = NetId(0);
+    assert_eq!((out.rerouted, out.failed), (0, 1));
+    assert!(!holds_cells(&eco, a), "failed net must release its pins");
+    assert!(eco.plane().is_free(p0(2, 2)));
+    // `b` re-runs `a` (their footprints overlap), which fails again and
+    // again leaves nothing behind.
+    let out = eco.apply(two_pin("b", (1, 2), (3, 2))).expect("valid");
+    let b = NetId(1);
+    assert!(out.invalidated.contains(&a));
+    assert!(eco.router().routed().contains_key(&b));
+    assert!(!holds_cells(&eco, a));
+    assert_eq!(eco.router().failed(), &[a]);
+    let report = eco.router().report(eco.netlist(), Instant::now());
+    assert_eq!(report.routed_nets, 1);
+    assert_eq!(report.total_nets - report.routed_nets, 1);
+}
+
+#[test]
+fn retries_neither_duplicate_failures_nor_keep_stale_ones() {
+    let mut eco = open(32, 32, Netlist::new(), false);
+    for edit in wall(&eco) {
+        eco.apply(edit).expect("the wall covers no pin");
+    }
+    eco.apply(two_pin("a", (2, 2), (12, 2))).expect("valid");
+    let a = NetId(0);
+    // A second failed attempt records the net once, not twice.
+    let out = eco
+        .apply(EcoEdit::AddObstacle {
+            layer: Layer(0),
+            rect: TrackRect::new(5, 10, 6, 11),
+        })
+        .expect("covers no pin");
+    assert!(out.invalidated.contains(&a));
+    assert_eq!(eco.router().failed(), &[a]);
+    // Tear the layer-0 wall down: the retry succeeds and clears the record.
+    eco.apply(EcoEdit::RemoveObstacle {
+        layer: Layer(0),
+        rect: TrackRect::new(8, 0, 8, 31),
+    })
+    .expect("the wall is a session obstacle");
+    assert_eq!(eco.router().failed(), &[]);
+    let report = eco.router().report(eco.netlist(), Instant::now());
+    assert_eq!(report.routed_nets, 1);
+    assert_eq!(report.total_nets, report.routed_nets);
+}
+
+#[test]
+fn reroutes_feed_the_session_trace() {
+    // Re-routes must feed the session's recorder, not a silent no-op:
+    // the trace is the only evidence of what ran. Two isolated nets
+    // route first-try, so the JSONL is a stable golden.
+    let mut eco = open(96, 96, Netlist::new(), true);
+    eco.drain_events();
+    eco.apply(two_pin("a", (2, 2), (12, 2))).expect("valid");
+    eco.apply(two_pin("b", (2, 80), (12, 80))).expect("valid");
+    let jsonl = sadp_obs::events_to_jsonl(&eco.drain_events());
+    assert_eq!(
+        jsonl,
+        "{\"event\":\"nets_invalidated\",\"edit\":0,\"nets\":[]}\n\
+         {\"event\":\"net_routed\",\"net\":0,\"attempts\":1,\"flipped\":false}\n\
+         {\"event\":\"edit_applied\",\"edit\":0,\"kind\":\"add_net\",\"invalidated\":0,\"rerouted\":1,\"failed\":0}\n\
+         {\"event\":\"nets_invalidated\",\"edit\":1,\"nets\":[]}\n\
+         {\"event\":\"net_routed\",\"net\":1,\"attempts\":1,\"flipped\":false}\n\
+         {\"event\":\"edit_applied\",\"edit\":1,\"kind\":\"add_net\",\"invalidated\":0,\"rerouted\":1,\"failed\":0}\n"
+    );
+}
+
+#[test]
+fn adding_a_net_after_the_batch_run_stays_conflict_free() {
+    let mut nl = Netlist::new();
+    nl.add_two_pin("a", p0(2, 5), p0(20, 5));
+    nl.add_two_pin("b", p0(2, 6), p0(20, 6));
+    nl.add_two_pin("c", p0(4, 10), p0(18, 14));
+    let mut eco = open(32, 32, nl, false);
+    let out = eco.apply(two_pin("eco", (25, 2), (25, 20))).expect("valid");
+    assert!(eco.router().routed().contains_key(&NetId(3)));
+    assert_eq!(out.failed, 0);
+    let report = eco.router().report(eco.netlist(), Instant::now());
+    assert_eq!(report.routed_nets, 4);
+    assert_eq!(report.cut_conflicts, 0);
 }

@@ -22,9 +22,10 @@ use std::time::Duration;
 /// Which invariant a [`Violation`] breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Invariant {
-    /// `try_route_all` (or anything under it) panicked.
+    /// `Router::route_all_with` (or anything under it) panicked.
     NoPanic,
-    /// `try_route_all` returned a `RouterError` for an in-range plane.
+    /// `Router::route_all_with` returned a `RouterError` for an in-range
+    /// plane.
     RouterAccepts,
     /// `routed + failed` must partition the netlist, without duplicates.
     NetAccounting,
@@ -172,7 +173,7 @@ fn route_once(
         config.faults = faults.map(FaultPlan::new);
         let mut router = Router::new(config);
         let mut rec = BufferRecorder::with_flags(true, false);
-        let report = router.try_route_all(&mut plane, netlist, &mut rec);
+        let report = router.route_all_with(&mut plane, netlist, &mut rec);
         report.map(|mut report| {
             report.cpu = Duration::ZERO;
             report.profile = report.profile.counts_only();

@@ -24,7 +24,9 @@ fn route_direct(layout: &str, threads: usize) -> (RoutingReport, Vec<String>) {
     config.threads = threads;
     let mut router = Router::new(config);
     let mut rec = BufferRecorder::with_flags(true, true);
-    let report = router.route_all_with(&mut plane, &netlist, &mut rec);
+    let report = router
+        .route_all_with(&mut plane, &netlist, &mut rec)
+        .expect("fixture plane fits");
     let trace: Vec<String> = rec.take_events().iter().map(|e| e.to_json_line()).collect();
     (report, trace)
 }

@@ -590,9 +590,7 @@ fn cmd_edit(args: &[String]) -> CliResult {
     }
     match result {
         Ok(_) => Ok(()),
-        Err(e @ (EcoError::Session(_) | EcoError::Router(_))) => {
-            Err(CliError::Routing(format!("{script_path}: {e}")))
-        }
+        Err(e @ EcoError::Session(_)) => Err(CliError::Routing(format!("{script_path}: {e}"))),
         Err(e) => Err(CliError::Input(format!("{script_path}: {e}"))),
     }
 }
@@ -890,7 +888,10 @@ fn cmd_fuzz_wire(args: &[String]) -> CliResult {
             "FAIL wire/{} seed {}: {}",
             failure.regime, failure.seed, failure.detail
         );
-        let path = format!("{out_dir}/fuzz-wire-{}-{}.txt", failure.regime, failure.seed);
+        let path = format!(
+            "{out_dir}/fuzz-wire-{}-{}.txt",
+            failure.regime, failure.seed
+        );
         std::fs::write(&path, failure.artifact_text())
             .map_err(|e| CliError::Other(format!("{path}: {e}")))?;
         println!("wrote {path}");
@@ -952,7 +953,9 @@ fn cmd_bench(args: &[String]) -> CliResult {
     let (mut plane, netlist) = spec.generate();
     let (trace_path, profile, mut rec) = recorder_from(args);
     let mut router = Router::new(config_from(args)?);
-    let report = router.route_all_with(&mut plane, &netlist, &mut rec);
+    let report = router
+        .route_all_with(&mut plane, &netlist, &mut rec)
+        .map_err(|e| CliError::Routing(e.to_string()))?;
     println!("{report}");
     if let Some(file) = trace_path {
         write_trace(file, &mut rec)?;

@@ -1,10 +1,10 @@
-//! Checkpoint/resume equivalence: a run killed after any checkpoint
-//! write and resumed from that snapshot on a fresh process produces the
+//! Checkpoint/resume equivalence: a session killed after any checkpoint
+//! and resumed from that snapshot on a fresh process produces the
 //! byte-identical final result. Resuming replays the journal through the
 //! normal commit pipeline, so graph state, scan order, and occupancy all
 //! come out exactly as in the uninterrupted run.
 
-use sadp::core::Snapshot;
+use sadp::core::{RoutingSession, SessionError, SessionStatus, Snapshot, StepBudget};
 use sadp::grid::BenchmarkSpec;
 use sadp::prelude::*;
 use sadp_geom::TrackRect;
@@ -17,48 +17,66 @@ type RunResult = (
     (usize, usize, usize),
 );
 
+/// Everything observable about a finished session. The stage profile
+/// counts work done in *this* process (a resumed session replays the
+/// journal instead of searching), so it is left out.
 fn observe(mut report: RoutingReport, router: &Router, plane: &RoutingPlane) -> RunResult {
     report.cpu = Duration::ZERO;
+    report.profile = StageProfile::default();
     let patterns = (0..plane.layers())
         .map(|l| router.patterns_on_layer(Layer(l)))
         .collect();
     (report, patterns, router.failed().to_vec(), plane.usage())
 }
 
-/// One uninterrupted run, capturing every checkpoint snapshot on the way.
+/// One uninterrupted session, stepped one schedule increment at a time,
+/// snapshotting after every band fold, every 64th step and the last step.
 fn reference_run(spec: &BenchmarkSpec) -> (RunResult, Vec<String>) {
-    let (mut plane, netlist) = spec.generate();
-    let mut router = Router::new(RouterConfig::paper_defaults());
+    let (plane, netlist) = spec.generate();
+    let mut session =
+        RoutingSession::create(RouterConfig::paper_defaults(), plane, netlist, false, false)
+            .expect("session creates");
     let mut snaps: Vec<String> = Vec::new();
-    let mut sink = |s: &str| snaps.push(s.to_string());
-    let report = router
-        .route_all_recoverable(
-            &mut plane,
-            &netlist,
-            &mut NoopRecorder,
-            None,
-            Some(&mut sink),
-        )
-        .expect("clean run");
-    (observe(report, &router, &plane), snaps)
+    let report = loop {
+        let status = session.advance(StepBudget::steps(1));
+        let (done, total) = session.progress();
+        match status {
+            SessionStatus::Done(report) => break *report,
+            SessionStatus::Failed(e) => panic!("reference failed: {e}"),
+            SessionStatus::CheckpointReady => snaps.push(session.snapshot()),
+            SessionStatus::Running if done % 64 == 0 || done == total => {
+                snaps.push(session.snapshot());
+            }
+            SessionStatus::Running => {}
+        }
+    };
+    (observe(report, session.router(), session.plane()), snaps)
 }
 
-/// Resumes `spec` from `snapshot` text on a completely fresh router and
-/// plane — exactly what a new process does after the old one was killed.
+/// Resumes `spec` from `snapshot` text in a completely fresh session —
+/// exactly what a new process does after the old one was killed.
 fn resumed_run(spec: &BenchmarkSpec, snapshot: &str) -> RunResult {
     let snap = Snapshot::parse(snapshot).expect("snapshot parses");
-    let (mut plane, netlist) = spec.generate();
-    let mut router = Router::new(RouterConfig::paper_defaults());
-    let report = router
-        .route_all_recoverable(&mut plane, &netlist, &mut NoopRecorder, Some(&snap), None)
-        .expect("resumed run");
-    observe(report, &router, &plane)
+    let (plane, netlist) = spec.generate();
+    let mut session = RoutingSession::resume(
+        RouterConfig::paper_defaults(),
+        plane,
+        netlist,
+        &snap,
+        false,
+        false,
+    )
+    .expect("resumed run");
+    let SessionStatus::Done(report) = session.advance(StepBudget::unbounded()) else {
+        panic!("an unbounded advance finishes the resumed run");
+    };
+    observe(*report, session.router(), session.plane())
 }
 
 #[test]
 fn resume_from_any_checkpoint_is_byte_identical() {
     // Wide enough for the banded schedule, so snapshots land both at
-    // forced band folds and at throttled serial/boundary ticks.
+    // band folds and between boundary-net commits.
     let spec = BenchmarkSpec::new("ckpt-wide", 110, 400, 120).with_seed(11);
     let (reference, snaps) = reference_run(&spec);
     assert!(
@@ -97,11 +115,16 @@ fn snapshot_rejects_a_foreign_layout() {
     let snap = Snapshot::parse(snaps.last().unwrap()).expect("snapshot parses");
 
     let other = BenchmarkSpec::new("ckpt-other", 40, 64, 64).with_seed(7);
-    let (mut plane, netlist) = other.generate();
-    let mut router = Router::new(RouterConfig::paper_defaults());
-    let err = router
-        .route_all_recoverable(&mut plane, &netlist, &mut NoopRecorder, Some(&snap), None)
-        .expect_err("fingerprint mismatch must be detected");
+    let (plane, netlist) = other.generate();
+    let err = RoutingSession::resume(
+        RouterConfig::paper_defaults(),
+        plane,
+        netlist,
+        &snap,
+        false,
+        false,
+    )
+    .expect_err("fingerprint mismatch must be detected");
     assert!(
         err.to_string().contains("fingerprint"),
         "unexpected error: {err}"
@@ -117,7 +140,6 @@ fn snapshot_rejects_a_foreign_layout() {
 /// uninterrupted run's nets, each with the same attempt count.
 #[test]
 fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
-    use sadp::core::{RoutingSession, SessionError, SessionStatus, StepBudget};
     use sadp::obs::events_to_jsonl;
 
     let spec = BenchmarkSpec::new("ckpt-wide", 110, 400, 120).with_seed(11);
@@ -141,11 +163,6 @@ fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
             SessionStatus::Failed(e) => panic!("reference failed: {e}"),
         }
     };
-    // The stage profile counts work done in *this* process; a resumed
-    // session replays the journal instead of searching, so its profile
-    // legitimately differs. Everything else must be byte-identical.
-    let mut want_report = want_report;
-    want_report.profile = StageProfile::default();
     let want = observe(want_report, session.router(), session.plane());
     let want_trace = events_to_jsonl(&want_events);
 
@@ -189,8 +206,6 @@ fn cancelled_session_resumed_is_byte_identical_to_uninterrupted() {
             SessionStatus::Failed(e) => panic!("resumed leg failed: {e}"),
         }
     };
-    let mut report = report;
-    report.profile = StageProfile::default();
     let got = observe(report, second.router(), second.plane());
     assert_eq!(want, got, "cancel + resume diverged from uninterrupted run");
     // Replay emits no events, so the spliced stream holds each commit

@@ -82,7 +82,9 @@ fn route_traced(spec: &BenchmarkSpec, threads: usize) -> (RoutingReport, String)
     config.threads = threads;
     let mut router = Router::new(config);
     let mut rec = BufferRecorder::with_flags(true, false);
-    let mut report = router.route_all_with(&mut plane, &netlist, &mut rec);
+    let mut report = router
+        .route_all_with(&mut plane, &netlist, &mut rec)
+        .expect("plane fits");
     report.cpu = Duration::ZERO;
     (report, events_to_jsonl(&rec.take_events()))
 }
@@ -198,7 +200,9 @@ fn route_waves(mut config: RouterConfig, threads: usize) -> (RunResult, String) 
     config.threads = threads;
     let mut router = Router::new(config);
     let mut rec = BufferRecorder::with_flags(true, false);
-    let mut report = router.route_all_with(&mut plane, &netlist, &mut rec);
+    let mut report = router
+        .route_all_with(&mut plane, &netlist, &mut rec)
+        .expect("plane fits");
     report.cpu = Duration::ZERO;
     let patterns = (0..plane.layers())
         .map(|l| router.patterns_on_layer(Layer(l)))
